@@ -70,9 +70,16 @@ func (nopObserver) OnProgress(Progress) {}
 // The netlist and collision map are the engine's cached stage products;
 // backends must treat Device and Collision as read-only.
 type StageState struct {
-	Options   Options
-	Device    *topology.Device
-	Netlist   *component.Netlist
+	Options Options
+	Device  *topology.Device
+	Netlist *component.Netlist
+	// Collision is the stage's near-resonant pair index, built once per
+	// stage at Options.DeltaC (frequency.BuildCollisionMap). Placers,
+	// legalizers and detailed placers all read the frequency-collision
+	// relation from it instead of re-deriving it. nil means "no
+	// near-resonant pairs" to the built-in legalizers, detailed placers and
+	// the anneal placer; the nesterov placer under SchemeQplacer rejects a
+	// nil map with an error, because its frequency force needs one.
 	Collision *frequency.CollisionMap
 
 	// Parallelism is the engine's WithParallelism setting for this run: the

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"qplacer/internal/frequency"
 	"qplacer/internal/geom"
 	"qplacer/internal/testutil"
 )
@@ -356,6 +357,38 @@ func TestGreedyLegalizerProducesLegalPlans(t *testing.T) {
 		}
 		if plan.Metrics == nil || plan.Metrics.Amer <= 0 {
 			t.Fatalf("%s+greedy: degenerate metrics %+v", placer, plan.Metrics)
+		}
+	}
+}
+
+// TestBuiltinLegalizersAcceptNilCollision hands each built-in legalizer a
+// StageState without a collision map: it must not panic or fail, and must
+// lay out exactly as with a map that holds no pairs.
+func TestBuiltinLegalizersAcceptNilCollision(t *testing.T) {
+	ctx := context.Background()
+	plan, err := New().Plan(ctx, WithTopology("grid"), WithMaxIters(20), WithSkipLegalize(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"shelf", "greedy"} {
+		lg, err := LegalizerByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(cm *frequency.CollisionMap) *StageState {
+			st := &StageState{Options: plan.Options, Device: plan.Device, Netlist: plan.Netlist.Clone(), Collision: cm}
+			if _, err := lg.Legalize(ctx, st, plan.Region, nopObserver{}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return st
+		}
+		withNil := run(nil)
+		withEmpty := run(&frequency.CollisionMap{ByInst: make([][]int, len(plan.Netlist.Instances))})
+		for i, in := range withNil.Netlist.Instances {
+			if in.Pos != withEmpty.Netlist.Instances[i].Pos {
+				t.Fatalf("%s: instance %d at %v with a nil map, %v with an empty one",
+					name, i, in.Pos, withEmpty.Netlist.Instances[i].Pos)
+			}
 		}
 	}
 }

@@ -130,7 +130,7 @@ func (shelfLegalizer) Legalize(ctx context.Context, st *StageState, region geom.
 		cfg.Cutoffs = &parallel.Cutoffs{}
 	}
 	cfg.Progress = legalProgress(observer, DefaultLegalizerName)
-	res, err := legal.LegalizeCtx(ctx, st.Netlist, region, st.Options.DeltaC, cfg)
+	res, err := legal.LegalizeCtx(ctx, st.Netlist, region, st.Collision, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,8 @@ func (shelfLegalizer) Legalize(ctx context.Context, st *StageState, region geom.
 	}, nil
 }
 
-// greedyLegalizer is the greedy row-scan variant of internal/legal.
+// greedyLegalizer is the greedy row-scan variant of internal/legal. Its shelf
+// sweep is sequential, so it ignores StageState.Parallelism.
 type greedyLegalizer struct{}
 
 func (greedyLegalizer) Name() string { return "greedy" }
@@ -150,12 +151,8 @@ func (greedyLegalizer) Legalize(ctx context.Context, st *StageState, region geom
 	cfg := legal.DefaultConfig()
 	cfg.Span = obs.SpanFrom(ctx)
 	cfg.FrequencyAware = st.Options.Scheme == SchemeQplacer
-	cfg.Workers = st.Parallelism
-	if !st.AdaptiveGranularity {
-		cfg.Cutoffs = &parallel.Cutoffs{}
-	}
 	cfg.Progress = legalProgress(observer, "greedy")
-	res, err := legal.RowScanCtx(ctx, st.Netlist, region, st.Options.DeltaC, cfg)
+	res, err := legal.RowScanCtx(ctx, st.Netlist, region, st.Collision, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -57,8 +57,9 @@ var (
 	// error-severity violations (see Validate).
 	ErrInvalidPlacement = errors.New("qplacer: invalid placement")
 	// ErrInvalidOptions reports an Options value that cannot describe any
-	// run — e.g. a non-finite segment size or detuning threshold — caught
-	// at normalization before it can poison cache keys or the pipeline.
+	// run — e.g. a non-finite or negative segment size or detuning
+	// threshold — caught at normalization before it can poison cache keys
+	// or the pipeline.
 	ErrInvalidOptions = errors.New("qplacer: invalid options")
 	// ErrInvalidSuiteSpec reports a SuiteSpec that cannot describe any
 	// benchmark suite (see GenerateBenchmark).

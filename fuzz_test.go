@@ -7,19 +7,24 @@ import (
 	"testing"
 )
 
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+// validNumeric is the contract Normalized enforces on lb and delta_c:
+// finite and non-negative (zero selects the default).
+func validNumeric(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
 // TestNormalizedRejectsNonFinite pins the deterministic contract the fuzz
 // target relies on: NaN/Inf numerics fail normalization with the typed
-// sentinel instead of slipping past the <= 0 guards into cache keys.
+// sentinel instead of slipping past the <= 0 guards into cache keys, and so
+// do negative ones, which the stages would otherwise read differently.
 func TestNormalizedRejectsNonFinite(t *testing.T) {
 	for _, o := range []Options{
 		{LB: math.NaN()},
 		{LB: math.Inf(1)},
 		{DeltaC: math.NaN()},
 		{DeltaC: math.Inf(-1)},
+		{LB: -0.3},
+		{DeltaC: -0.05},
 	} {
 		if _, err := o.Normalized(); !errors.Is(err, ErrInvalidOptions) {
 			t.Fatalf("Normalized(%+v) err = %v, want ErrInvalidOptions", o, err)
@@ -85,14 +90,20 @@ func FuzzValidateOptions(f *testing.F) {
 			DetailedPlacer: detailed,
 		}
 		norm, err := o.Normalized() // must never panic
+		// Numerics are checked first: invalid exactly when lb or delta_c is
+		// non-finite or negative, whatever else the options say.
+		if !validNumeric(lb) || !validNumeric(deltaC) {
+			if !errors.Is(err, ErrInvalidOptions) {
+				t.Fatalf("lb %v delta_c %v: err = %v, want ErrInvalidOptions", lb, deltaC, err)
+			}
+			return
+		}
 		if err != nil {
 			// Failures must classify with exactly one of the typed
 			// sentinels, matching the field that actually failed.
 			switch {
 			case errors.Is(err, ErrInvalidOptions):
-				if isFinite(lb) && isFinite(deltaC) {
-					t.Fatalf("finite options rejected as invalid: %v", err)
-				}
+				t.Fatalf("valid lb %v delta_c %v rejected as invalid: %v", lb, deltaC, err)
 			case errors.Is(err, ErrUnknownScheme):
 				if s := Scheme(scheme); s == SchemeQplacer || s == SchemeClassic || s == SchemeHuman {
 					t.Fatalf("valid scheme %v rejected: %v", s, err)

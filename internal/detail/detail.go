@@ -66,21 +66,6 @@ const (
 	DefaultMaxSet = 64
 )
 
-// Interaction radii of the frequency-margin cost term, mirroring the
-// legalizer's isolation guards: near-resonant partners closer than the
-// radius contribute linearly growing cost.
-const (
-	qubitRadius = 2.5
-	segRadius   = 0.65
-)
-
-func radiusFor(kind component.Kind) float64 {
-	if kind == component.KindQubit {
-		return qubitRadius
-	}
-	return segRadius
-}
-
 // footprintClass groups instances whose rectangles are interchangeable:
 // same kind, core size, and padding. Permuting positions within a class
 // can neither create an overlap nor move the layout's bounding envelope.
@@ -161,8 +146,9 @@ func wlAt(nl *component.Netlist, inc [][]int, id int, p geom.Point) float64 {
 }
 
 // penaltyAt is the frequency-margin cost of id at p: each near-resonant
-// partner inside the class's interaction radius contributes radius − d, so
-// the reassignment prefers sites that keep resonant pairs apart.
+// partner closer than radius (the class's frequency.IsolationGuard)
+// contributes radius − d, so the reassignment prefers sites that keep
+// resonant pairs apart.
 func penaltyAt(cm *frequency.CollisionMap, nl *component.Netlist, id int, p geom.Point, radius float64) float64 {
 	if cm == nil {
 		return 0
@@ -291,10 +277,10 @@ func MCMF(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 
 			// Cost rows are independent — the one parallel scan of this
 			// pass; the flow solve itself is sequential. n² entries of pure
-			// arithmetic gate like the legalizer's all-pairs scans.
+			// arithmetic gate like the legalizer's refine cost matrix.
 			assignTimer := assignSpan.Start()
 			n := len(set)
-			radius := radiusFor(class.kind)
+			radius := frequency.IsolationGuard(class.kind)
 			costs := make([][]float64, n)
 			fill := parallel.Gate(pool, n*n, cut.ScanCells)
 			fill.For(n, func(_, lo, hi int) {
@@ -393,7 +379,7 @@ func Swap(ctx context.Context, nl *component.Netlist, cfg Config) (*Result, erro
 			if len(ids) < 2 {
 				continue
 			}
-			radius := radiusFor(class.kind)
+			radius := frequency.IsolationGuard(class.kind)
 			attempts := 4 * len(ids)
 			for k := 0; k < attempts; k++ {
 				if k%64 == 63 {

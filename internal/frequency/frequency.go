@@ -228,6 +228,34 @@ func Resonant(f1, f2, deltaC float64) bool {
 	return math.Abs(f1-f2) <= deltaC
 }
 
+// NearResonant is the frequency-collision relation every stage reads: two
+// instances collide when they sit in the same band (qubit and resonator
+// bands never approach within Δc), are not segments of one resonator (the
+// Kronecker-delta exclusion of Eq. 10), and are Resonant within deltaC (τ of
+// Eq. 9).
+func NearResonant(a, b *component.Instance, deltaC float64) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
+		return false
+	}
+	return Resonant(a.FreqGHz, b.FreqGHz, deltaC)
+}
+
+// IsolationGuard is the Chebyshev centre distance (mm) that keeps two
+// near-resonant instances of the given kind apart: padded boxes overlap only
+// when both axis offsets fall below the padded size, so the guard bounds the
+// larger axis offset. Legalization preserves it where it can and detailed
+// placement prices moves against it; pairs closer than the guard are the
+// hotspots P_h measures.
+func IsolationGuard(kind component.Kind) float64 {
+	if kind == component.KindQubit {
+		return 2.5
+	}
+	return 0.65
+}
+
 // CollisionMap lists, per instance, the near-resonant partner instances the
 // frequency force must repel (Eq. 9), excluding pairs from the same
 // resonator (the Kronecker-delta factor of Eq. 10).
@@ -237,9 +265,9 @@ type CollisionMap struct {
 	ByInst [][]int  // partner list per instance ID
 }
 
-// BuildCollisionMap scans the netlist for near-resonant instance pairs.
-// Qubit and resonator bands never overlap within Δc, so pairs are always
-// qubit–qubit or segment–segment.
+// BuildCollisionMap scans the netlist for NearResonant instance pairs, so
+// pairs are always qubit–qubit or segment–segment. Pairs and every ByInst
+// list come out in ascending order.
 func BuildCollisionMap(nl *component.Netlist, deltaC float64) *CollisionMap {
 	if deltaC <= 0 {
 		deltaC = physics.DetuneThresholdGHz
@@ -252,14 +280,7 @@ func BuildCollisionMap(nl *component.Netlist, deltaC float64) *CollisionMap {
 	for i := 0; i < n; i++ {
 		a := nl.Instances[i]
 		for j := i + 1; j < n; j++ {
-			b := nl.Instances[j]
-			if a.Kind != b.Kind {
-				continue // cross-band: never resonant
-			}
-			if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-				continue // same resonator: excluded by Eq. 10
-			}
-			if !Resonant(a.FreqGHz, b.FreqGHz, deltaC) {
+			if !NearResonant(a, nl.Instances[j], deltaC) {
 				continue
 			}
 			cm.Pairs = append(cm.Pairs, [2]int{i, j})

@@ -210,3 +210,27 @@ func TestResonant(t *testing.T) {
 		t.Error("must be symmetric")
 	}
 }
+
+func TestNearResonant(t *testing.T) {
+	q := func(f float64) *component.Instance {
+		return &component.Instance{Kind: component.KindQubit, FreqGHz: f}
+	}
+	seg := func(res int, f float64) *component.Instance {
+		return &component.Instance{Kind: component.KindSegment, Resonator: res, FreqGHz: f}
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *component.Instance
+		want bool
+	}{
+		{"qubits within Δc", q(5.0), q(5.05), true},
+		{"qubits detuned", q(5.0), q(5.2), false},
+		{"segments of two resonators", seg(1, 6.5), seg(2, 6.5), true},
+		{"segments of one resonator", seg(1, 6.5), seg(1, 6.5), false},
+		{"cross band", q(6.5), seg(1, 6.5), false},
+	} {
+		if got := NearResonant(tc.a, tc.b, 0.1); got != tc.want {
+			t.Errorf("%s: NearResonant = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

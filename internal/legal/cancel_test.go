@@ -5,15 +5,14 @@ import (
 	"errors"
 	"testing"
 
-	"qplacer/internal/physics"
 	"qplacer/internal/place"
 )
 
 func TestLegalizeCtxCancelled(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := LegalizeCtx(ctx, nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+	_, err := LegalizeCtx(ctx, nl, region, cm, DefaultConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -23,7 +22,7 @@ func TestLegalizeCtxCancelled(t *testing.T) {
 // progress callback after the first placement unit lands, proving the sweep
 // checks its context between units rather than only up front.
 func TestRowScanCtxCancelledMidRun(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	total := 0
@@ -34,7 +33,7 @@ func TestRowScanCtxCancelledMidRun(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := RowScanCtx(ctx, nl, region, physics.DetuneThresholdGHz, cfg)
+	_, err := RowScanCtx(ctx, nl, region, cm, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -46,10 +45,10 @@ func TestRowScanCtxCancelledMidRun(t *testing.T) {
 // TestRowScanCtxCancelledUpFront mirrors the shelf legalizer's pre-cancelled
 // contract for the greedy backend.
 func TestRowScanCtxCancelledUpFront(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RowScanCtx(ctx, nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+	_, err := RowScanCtx(ctx, nl, region, cm, DefaultConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -36,9 +36,6 @@ type Config struct {
 	// CompactionPasses bounds the inward-compaction sweeps that shrink the
 	// enclosing rectangle after integration (0 disables).
 	CompactionPasses int
-	// ResonantGuard is the minimum distance compaction keeps between
-	// near-resonant segments of different resonators.
-	ResonantGuard float64
 	// FrequencyAware enables the isolation guards. Qplacer's legalizer is
 	// frequency-aware (the integration legalizer of §IV-C2); the Classic
 	// baseline uses the same machinery with the guards off, like the
@@ -50,25 +47,24 @@ type Config struct {
 	// placement units. It must be fast and non-blocking.
 	Progress func(step, total int)
 
-	// Workers bounds the worker pool for the independent scans — the O(n²)
-	// near-resonant partner map both legalizers rebuild up front and the
-	// min-cost-flow cost matrix — with results identical to a serial run at
-	// every worker count. The packing passes themselves stay sequential:
-	// each greedy decision depends on everything placed before it. 0 or 1
-	// runs serial.
+	// Workers bounds the worker pool for LegalizeCtx's one independent
+	// scan, the min-cost-flow cost matrix, with results identical to a
+	// serial run at every worker count. The packing passes stay sequential
+	// (each greedy decision depends on everything placed before it), so
+	// RowScanCtx ignores Workers. 0 or 1 runs serial.
 	Workers int
 
-	// Cutoffs overrides the adaptive-granularity thresholds below which the
-	// parallel scans run serial (fan-out dispatch costs more than it saves
-	// on small problems). nil auto-calibrates once per process
+	// Cutoffs overrides the adaptive-granularity threshold below which the
+	// cost-matrix scan runs serial (fan-out dispatch costs more than it
+	// saves on small problems). nil auto-calibrates once per process
 	// (parallel.AutoCutoffs); the zero value always fans out. Gating only
 	// selects between bit-identical implementations, so results never
 	// depend on the cutoffs.
 	Cutoffs *parallel.Cutoffs
 
 	// Span, when non-nil, receives the per-pass timing breakdown:
-	// LegalizeCtx records setup (the partner map) plus one child per
-	// Algorithm-1 pass, RowScanCtx records setup and the shelf scan.
+	// LegalizeCtx records one child per Algorithm-1 pass, RowScanCtx
+	// records the shelf scan.
 	Span *obs.Span
 }
 
@@ -80,7 +76,6 @@ func DefaultConfig() Config {
 		ClusterGap:           0.35,
 		MaxIntegrationPasses: 6,
 		CompactionPasses:     3,
-		ResonantGuard:        0.65,
 		FrequencyAware:       true,
 	}
 }
@@ -111,15 +106,14 @@ type legalizer struct {
 	ctx    context.Context
 	cfg    Config
 	nl     *component.Netlist
-	deltaC float64
 	bounds geom.Rect
 
 	placed []geom.Rect // legal rects of already-fixed instances
 	byInst map[int]int // instance ID → index in placed
 	order  []int       // placed index → instance ID
 
-	// partners[i] lists the near-resonant instances of i (the collision
-	// map rebuilt locally); findSpot keeps candidates clear of the placed
+	// partners[i] lists the near-resonant instances of i, ascending (the
+	// stage collision map); findSpot keeps candidates clear of the placed
 	// ones so legalization preserves the engine's spatial isolation.
 	partners [][]int
 
@@ -133,38 +127,19 @@ type legalizer struct {
 	stats *Result // live statistics sink
 }
 
-// qubitGuard and segGuard are the isolation distances findSpot tries to
-// preserve between near-resonant instances during legalization. When no
-// guarded spot exists the search falls back to unguarded placement — the
-// residual hotspots are exactly what P_h measures.
-const (
-	qubitGuard = 2.5
-	segGuard   = 0.65
-)
-
-// guardFor returns the isolation distance for an instance kind.
-func guardFor(k component.Kind) float64 {
-	if k == component.KindQubit {
-		return qubitGuard
+// partnerLists returns the stage collision map's per-instance partner
+// lists; a nil map means no near-resonant pairs.
+func partnerLists(cm *frequency.CollisionMap, n int) [][]int {
+	if cm == nil {
+		return make([][]int, n)
 	}
-	return segGuard
+	return cm.ByInst
 }
 
-// guardedApart reports whether centres a and b keep the guard distance.
-// Chebyshev metric: padded boxes overlap when BOTH axis offsets are below
-// the padded size, so the guard must bound the larger axis offset, not the
-// Euclidean distance (diagonal pairs would otherwise slip through and still
-// overlap).
+// guardedApart reports whether centres a and b keep the guard distance
+// (frequency.IsolationGuard), measured in the Chebyshev metric.
 func guardedApart(a, b geom.Point, guard float64) bool {
 	return math.Max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y)) >= guard
-}
-
-func (lg *legalizer) setup() {
-	n := len(lg.nl.Instances)
-	lg.partners = buildPartners(lg.nl, lg.deltaC,
-		parallel.Gate(lg.pool, n*n, lg.cut.ScanCells))
-	lg.cell = 1.0
-	lg.buckets = make(map[[2]int][]int)
 }
 
 // resolveCutoffs maps Config.Cutoffs to the thresholds in effect: explicit
@@ -178,49 +153,6 @@ func resolveCutoffs(cfg Config, pool *parallel.Pool) parallel.Cutoffs {
 		return parallel.Cutoffs{}
 	}
 	return parallel.AutoCutoffs()
-}
-
-// buildPartners rebuilds the collision map as an adjacency list:
-// partners[i] holds the near-resonant same-kind instances of i (excluding
-// same-resonator segment pairs, which are one physical wire), ascending.
-// With a pool, each worker owns a contiguous range of rows and scans the
-// full instance list per row — independent rows, so the output is identical
-// to the serial half-matrix sweep (which also yields ascending lists).
-func buildPartners(nl *component.Netlist, deltaC float64, pool *parallel.Pool) [][]int {
-	n := len(nl.Instances)
-	partners := make([][]int, n)
-	paired := func(a, b *component.Instance) bool {
-		if a.Kind != b.Kind {
-			return false
-		}
-		if a.Kind == component.KindSegment && a.Resonator == b.Resonator {
-			return false
-		}
-		return frequency.Resonant(a.FreqGHz, b.FreqGHz, deltaC)
-	}
-	if pool != nil {
-		pool.For(n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				a := nl.Instances[i]
-				for j := 0; j < n; j++ {
-					if j != i && paired(a, nl.Instances[j]) {
-						partners[i] = append(partners[i], j)
-					}
-				}
-			}
-		})
-		return partners
-	}
-	for i := 0; i < n; i++ {
-		a := nl.Instances[i]
-		for j := i + 1; j < n; j++ {
-			if paired(a, nl.Instances[j]) {
-				partners[i] = append(partners[i], j)
-				partners[j] = append(partners[j], i)
-			}
-		}
-	}
-	return partners
 }
 
 func (lg *legalizer) bucketRange(r geom.Rect) (x0, y0, x1, y1 int) {
@@ -258,39 +190,35 @@ func (lg *legalizer) indexRemove(placedIdx int, r geom.Rect) {
 	}
 }
 
-// Legalize snaps the globally placed netlist into an overlap-free layout.
+// LegalizeCtx snaps the globally placed netlist into an overlap-free layout.
 // region is the placement region (the layout may grow slightly past it if
-// space runs out); deltaC is the resonance threshold for swap checks.
-func Legalize(nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
-	return LegalizeCtx(context.Background(), nl, region, deltaC, cfg)
-}
-
-// LegalizeCtx is Legalize with cancellation: the instance-loop passes
-// (greedy qubits, Tetris segments, integration, compaction) check ctx
-// between instances, and the min-cost-flow refinement checks it before its
-// indivisible solve; the first ctx.Err() observed is returned.
-func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, deltaC float64, cfg Config) (*Result, error) {
+// space runs out); cm is the stage collision map whose pairs the isolation
+// guards and the swap τ check read (nil means no near-resonant pairs). The
+// instance-loop passes (greedy qubits, Tetris segments, integration,
+// compaction) check ctx between instances, and the min-cost-flow refinement
+// checks it before its indivisible solve; the first ctx.Err() observed is
+// returned.
+func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm *frequency.CollisionMap, cfg Config) (*Result, error) {
 	if cfg.Pitch <= 0 || cfg.MaxRings <= 0 {
 		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
 	}
 	lg := &legalizer{
-		ctx:    ctx,
-		cfg:    cfg,
-		nl:     nl,
-		deltaC: deltaC,
+		ctx: ctx,
+		cfg: cfg,
+		nl:  nl,
 		// The global-placement region is sized at TargetDensity < 1, so it
 		// already carries the slack legalization needs; keeping the bounds
 		// tight is what delivers the paper's compact-substrate result. A
 		// small margin absorbs boundary quantization.
-		bounds: region.Inflate(region.W() * 0.02),
-		byInst: make(map[int]int),
-		pool:   parallel.New(cfg.Workers),
+		bounds:   region.Inflate(region.W() * 0.02),
+		byInst:   make(map[int]int),
+		partners: partnerLists(cm, len(nl.Instances)),
+		cell:     1.0,
+		buckets:  make(map[[2]int][]int),
+		pool:     parallel.New(cfg.Workers),
 	}
 	defer lg.pool.Close()
 	lg.cut = resolveCutoffs(cfg, lg.pool)
-	setupTimer := cfg.Span.Child("setup").Start()
-	lg.setup()
-	setupTimer.End()
 	res := &Result{}
 	lg.stats = res
 
@@ -328,9 +256,10 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, d
 
 // overlapEps is the tolerance for overlap checks: rectangle widths are
 // reconstructed from centre positions, so independent computations of "the
-// same" footprint differ by ~1e-16 mm. Anything shallower than a tenth of a
-// nanometre is not a physical overlap.
-const overlapEps = 1e-7
+// same" footprint differ by ~1e-16 mm. It must not exceed the verifier's
+// tolerance (internal/validate's overlapEps), or the legalizer ships
+// penetrations the verifier reports as errors.
+const overlapEps = 1e-9
 
 // overlapsEps reports whether two rects overlap deeper than the tolerance.
 func overlapsEps(a, b geom.Rect) bool {
@@ -371,17 +300,18 @@ func (lg *legalizer) fix(instID int, r geom.Rect) {
 }
 
 // guardOK reports whether centre c keeps the isolation distance from the
-// already-placed near-resonant partners of instance in.
+// already-placed near-resonant partners of instance in, when the guards are
+// on.
 func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
-	if !lg.cfg.FrequencyAware {
-		return true
-	}
-	guard := guardFor(in.Kind)
+	return !lg.cfg.FrequencyAware || lg.isolated(in, c)
+}
+
+// isolated reports whether centre c keeps the isolation distance from every
+// already-placed near-resonant partner of instance in.
+func (lg *legalizer) isolated(in *component.Instance, c geom.Point) bool {
+	guard := frequency.IsolationGuard(in.Kind)
 	for _, pid := range lg.partners[in.ID] {
-		if _, placed := lg.byInst[pid]; !placed {
-			continue
-		}
-		if !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
+		if _, placed := lg.byInst[pid]; placed && !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
 			return false
 		}
 	}
@@ -506,8 +436,7 @@ func (lg *legalizer) refineQubits(res *Result, anchors []geom.Point) error {
 	}
 	// Cost rows are independent of each other — the one parallel scan in
 	// this pass; the flow solve itself is sequential. The matrix is
-	// len(qubits)² entries of pure arithmetic, so it gates like the other
-	// all-pairs scans.
+	// len(qubits)² entries of pure arithmetic, gated on ScanCells.
 	costs := make([][]float64, len(qubits))
 	pool := parallel.Gate(lg.pool, len(qubits)*len(qubits), lg.cut.ScanCells)
 	pool.For(len(qubits), func(_, lo, hi int) {
@@ -725,8 +654,10 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 				continue
 			}
 			// τ check (Algorithm 1, line 12): the foreign segment must stay
-			// detuned from this resonator's neighbourhood after the swap.
-			if frequency.Resonant(other.FreqGHz, in.FreqGHz, lg.deltaC) {
+			// detuned from this resonator's neighbourhood after the swap. A
+			// segment of another resonator is near-resonant exactly when it
+			// is one of sid's partners.
+			if lg.isPartner(sid, other.ID) {
 				continue
 			}
 			// Donor integrity plus isolation: the swap must not fragment the
@@ -751,11 +682,18 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 	return false
 }
 
+// isPartner reports whether id is a near-resonant partner of sid.
+func (lg *legalizer) isPartner(sid, id int) bool {
+	p := lg.partners[sid]
+	k := sort.SearchInts(p, id)
+	return k < len(p) && p[k] == id
+}
+
 // compact pulls outlying segments toward the layout centroid to shrink the
 // enclosing rectangle, accepting a move only when it (a) lands strictly
 // closer to the centroid, (b) keeps the segment's resonator in one cluster,
-// and (c) stays at least ResonantGuard away from near-resonant segments of
-// other resonators, so compaction never reintroduces hotspots.
+// and (c) keeps the isolation guard from its near-resonant partners, so
+// compaction never reintroduces hotspots.
 func (lg *legalizer) compact(res *Result) error {
 	if lg.cfg.CompactionPasses <= 0 {
 		return nil
@@ -815,27 +753,13 @@ func (lg *legalizer) compact(res *Result) error {
 	return nil
 }
 
-// compactionSafe checks the integrity and resonance guards for a segment at
-// its current position.
+// compactionSafe checks the integrity and isolation guards for a segment at
+// its current position. Unlike guardOK it ignores FrequencyAware:
+// compaction is an optional area optimization and never trades isolation
+// for area.
 func (lg *legalizer) compactionSafe(sid int) bool {
 	in := lg.nl.Instances[sid]
-	if len(lg.clusters(in.Resonator)) != 1 {
-		return false
-	}
-	for _, other := range lg.nl.Instances {
-		if other.Kind != component.KindSegment || other.Resonator == in.Resonator {
-			continue
-		}
-		if !frequency.Resonant(other.FreqGHz, in.FreqGHz, lg.deltaC) {
-			continue
-		}
-		dx := math.Abs(other.Pos.X - in.Pos.X)
-		dy := math.Abs(other.Pos.Y - in.Pos.Y)
-		if math.Max(dx, dy) < lg.cfg.ResonantGuard {
-			return false
-		}
-	}
-	return true
+	return len(lg.clusters(in.Resonator)) == 1 && lg.isolated(in, in.Pos)
 }
 
 // OverlapReport lists residual overlapping legal-rect pairs (diagnostics).

@@ -1,6 +1,7 @@
 package legal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"qplacer/internal/topology"
 )
 
-func placedNetlist(t *testing.T, devName string, mode place.Mode) (*component.Netlist, geom.Rect) {
+func placedNetlist(t *testing.T, devName string, mode place.Mode) (*component.Netlist, geom.Rect, *frequency.CollisionMap) {
 	t.Helper()
 	dev, err := topology.ByName(devName)
 	if err != nil {
@@ -31,7 +32,7 @@ func placedNetlist(t *testing.T, devName string, mode place.Mode) (*component.Ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nl, res.Region
+	return nl, res.Region, cm
 }
 
 func TestLegalRectPolicy(t *testing.T) {
@@ -47,8 +48,8 @@ func TestLegalRectPolicy(t *testing.T) {
 
 func TestLegalizeRemovesAllOverlaps(t *testing.T) {
 	for _, devName := range []string{"grid", "falcon"} {
-		nl, region := placedNetlist(t, devName, place.ModeQplacer)
-		res, err := Legalize(nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+		nl, region, cm := placedNetlist(t, devName, place.ModeQplacer)
+		res, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,8 +64,8 @@ func TestLegalizeRemovesAllOverlaps(t *testing.T) {
 }
 
 func TestLegalizeIntegratesResonators(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
-	res, err := Legalize(nl, region, physics.DetuneThresholdGHz, DefaultConfig())
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
+	res, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestLegalizeIntegratesResonators(t *testing.T) {
 }
 
 func TestLegalizeKeepsQubitsApart(t *testing.T) {
-	nl, region := placedNetlist(t, "falcon", place.ModeClassic)
-	if _, err := Legalize(nl, region, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+	nl, region, cm := placedNetlist(t, "falcon", place.ModeClassic)
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	// Post-legalization, padded qubit cells are disjoint → core-to-core
@@ -99,26 +100,43 @@ func TestLegalizeKeepsQubitsApart(t *testing.T) {
 }
 
 func TestLegalizeValidation(t *testing.T) {
-	nl, region := placedNetlist(t, "grid", place.ModeQplacer)
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
 	bad := DefaultConfig()
 	bad.Pitch = 0
-	if _, err := Legalize(nl, region, physics.DetuneThresholdGHz, bad); err == nil {
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, bad); err == nil {
 		t.Fatal("zero pitch must fail")
 	}
 }
 
 func TestLegalizeIsDeterministic(t *testing.T) {
-	nlA, regionA := placedNetlist(t, "grid", place.ModeQplacer)
-	nlB, regionB := placedNetlist(t, "grid", place.ModeQplacer)
-	if _, err := Legalize(nlA, regionA, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+	nlA, regionA, cmA := placedNetlist(t, "grid", place.ModeQplacer)
+	nlB, regionB, cmB := placedNetlist(t, "grid", place.ModeQplacer)
+	if _, err := LegalizeCtx(context.Background(), nlA, regionA, cmA, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Legalize(nlB, regionB, physics.DetuneThresholdGHz, DefaultConfig()); err != nil {
+	if _, err := LegalizeCtx(context.Background(), nlB, regionB, cmB, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range nlA.Instances {
 		if nlA.Instances[i].Pos != nlB.Instances[i].Pos {
 			t.Fatalf("instance %d position differs between identical runs", i)
 		}
+	}
+}
+
+// TestOverlapToleranceMatchesVerifier pins the legalizer's overlap tolerance
+// to the verifier's: legal rects penetrating by 5e-8 mm are an error-severity
+// overlap in internal/validate, so the legalizer must see them too.
+func TestOverlapToleranceMatchesVerifier(t *testing.T) {
+	a := &component.Instance{ID: 0, Kind: component.KindSegment, W: 0.3, H: 0.3, Pad: 0.1}
+	b := &component.Instance{ID: 1, Kind: component.KindSegment, W: 0.3, H: 0.3, Pad: 0.1}
+	b.Pos = geom.Point{X: LegalRect(a).W() - 5e-8}
+	nl := &component.Netlist{Instances: []*component.Instance{a, b}}
+	if got := OverlapReport(nl); len(got) != 1 {
+		t.Fatalf("5e-8 mm penetration: overlaps %v, want [[0 1]]", got)
+	}
+	b.Pos.X = LegalRect(a).W()
+	if got := OverlapReport(nl); len(got) != 0 {
+		t.Fatalf("abutting rects: overlaps %v, want none", got)
 	}
 }

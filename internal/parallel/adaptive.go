@@ -29,8 +29,8 @@ type Cutoffs struct {
 	// PointItems gates the embarrassingly parallel per-instance sweeps
 	// (field sampling, boundary springs, gradient combine).
 	PointItems int
-	// ScanCells gates the legalizer's candidate scans (items = cells
-	// examined, e.g. n² for the pairwise partner scan).
+	// ScanCells gates the all-pairs cost-matrix fills of the legalizer's
+	// and the detailed placer's min-cost-flow passes (items = n² cells).
 	ScanCells int
 }
 

@@ -57,8 +57,8 @@ const DefaultMappings = 50
 type Options struct {
 	Topology string  `json:"topology"` // any registered topology name (see RegisteredTopologies)
 	Scheme   Scheme  `json:"scheme"`   // placement strategy, as its string name on the wire
-	LB       float64 `json:"lb"`       // resonator segment size l_b in mm (default 0.3)
-	DeltaC   float64 `json:"delta_c"`  // detuning threshold Δc in GHz (default 0.1)
+	LB       float64 `json:"lb"`       // resonator segment size l_b in mm (0 = default 0.3; negative is invalid)
+	DeltaC   float64 `json:"delta_c"`  // detuning threshold Δc in GHz (0 = default 0.1; negative is invalid)
 	Seed     int64   `json:"seed"`     // engine seed (default 1)
 
 	// MaxIters overrides the global-placement iteration cap (0 = default).
@@ -91,13 +91,14 @@ func (o Options) Normalized() (Options, error) {
 // canonical form used as cache key.
 func (o Options) normalized() (Options, error) {
 	// Non-finite numerics can slip past every downstream <= 0 guard (NaN
-	// compares false both ways) and poison cache keys, so they are rejected
-	// here with the typed sentinel.
-	if math.IsNaN(o.LB) || math.IsInf(o.LB, 0) {
-		return o, fmt.Errorf("%w: non-finite lb %v", ErrInvalidOptions, o.LB)
+	// compares false both ways) and poison cache keys, and a negative value
+	// has no physical meaning (each stage would read it differently), so
+	// both are rejected here with the typed sentinel. Zero means default.
+	if math.IsNaN(o.LB) || math.IsInf(o.LB, 0) || o.LB < 0 {
+		return o, fmt.Errorf("%w: lb %v is not finite and non-negative", ErrInvalidOptions, o.LB)
 	}
-	if math.IsNaN(o.DeltaC) || math.IsInf(o.DeltaC, 0) {
-		return o, fmt.Errorf("%w: non-finite delta_c %v", ErrInvalidOptions, o.DeltaC)
+	if math.IsNaN(o.DeltaC) || math.IsInf(o.DeltaC, 0) || o.DeltaC < 0 {
+		return o, fmt.Errorf("%w: delta_c %v is not finite and non-negative", ErrInvalidOptions, o.DeltaC)
 	}
 	if o.Topology == "" {
 		o.Topology = "grid"

@@ -199,6 +199,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown legalizer", `{"topology":"grid","legalizer":"ouija"}`, http.StatusBadRequest, "unknown_legalizer"},
 		{"unknown detailed placer", `{"topology":"grid","detailed_placer":"ouija"}`, http.StatusBadRequest, "unknown_detailed_placer"},
 		{"malformed JSON", `{"topology":`, http.StatusBadRequest, "bad_request"},
+		{"negative delta_c", `{"topology":"grid","delta_c":-0.05}`, http.StatusBadRequest, "invalid_options"},
+		{"negative lb", `{"topology":"grid","lb":-0.3}`, http.StatusBadRequest, "invalid_options"},
 		{"malformed parametric name", `{"topology":"grid-0"}`, http.StatusNotFound, "unknown_topology"},
 		{"out-of-series xtree", `{"topology":"xtree-21"}`, http.StatusNotFound, "unknown_topology"},
 	}
