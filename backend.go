@@ -86,9 +86,10 @@ type StageState struct {
 	// worker-pool bound a backend may fan its internal hot loops out on
 	// (<= 1 means serial). It is a scheduling hint only — a backend MUST
 	// produce identical results at every value, which is why it is not part
-	// of Options and never enters the plan-cache key. Backends with
-	// inherently sequential algorithms (e.g. the annealer's Metropolis
-	// chain) are free to ignore it.
+	// of Options and never enters the plan-cache key. Of the built-in
+	// backends only the nesterov placer uses it; the others are inherently
+	// sequential (the annealer's Metropolis chain, the legalizers' greedy
+	// passes, the detailed placers) and ignore it.
 	Parallelism int
 
 	// AdaptiveGranularity, when set, lets each parallelizable stage fall

@@ -114,7 +114,8 @@ func legalProgress(observer Observer, backend string) func(step, total int) {
 
 // shelfLegalizer is the integration-aware legalizer of §IV-C2 (greedy spiral
 // + min-cost-flow + Tetris + integration repair) behind the Legalizer
-// interface.
+// interface. Each greedy decision depends on everything placed before it,
+// so it runs serial and ignores StageState.Parallelism.
 type shelfLegalizer struct{}
 
 func (shelfLegalizer) Name() string { return DefaultLegalizerName }
@@ -125,10 +126,6 @@ func (shelfLegalizer) Legalize(ctx context.Context, st *StageState, region geom.
 	// The Classic baseline gets the classical (frequency-oblivious)
 	// legalizer, exactly as it would from its own engine.
 	cfg.FrequencyAware = st.Options.Scheme == SchemeQplacer
-	cfg.Workers = st.Parallelism
-	if !st.AdaptiveGranularity {
-		cfg.Cutoffs = &parallel.Cutoffs{}
-	}
 	cfg.Progress = legalProgress(observer, DefaultLegalizerName)
 	res, err := legal.LegalizeCtx(ctx, st.Netlist, region, st.Collision, cfg)
 	if err != nil {
@@ -176,18 +173,14 @@ func (noneDetailed) Refine(_ context.Context, st *StageState, _ geom.Rect, _ Obs
 	return &DetailOutcome{HPWLBefore: w, HPWLAfter: w}, nil
 }
 
-// detailConfig assembles the shared detail.Config from the stage state,
-// mirroring how the placer/legalizer adapters thread spans, parallelism, and
-// adaptive granularity.
+// detailConfig assembles the shared detail.Config from the stage state: the
+// span, the collision map, the seed and a progress hook. Both detailed
+// placers run serial.
 func detailConfig(ctx context.Context, st *StageState, backend string, observer Observer) detail.Config {
 	cfg := detail.Config{
 		Span:      obs.SpanFrom(ctx),
-		Workers:   st.Parallelism,
 		Collision: st.Collision,
 		Seed:      st.Options.Seed,
-	}
-	if !st.AdaptiveGranularity {
-		cfg.Cutoffs = &parallel.Cutoffs{}
 	}
 	cfg.Progress = func(step int, hpwl float64) {
 		observer.OnProgress(Progress{
@@ -199,7 +192,8 @@ func detailConfig(ctx context.Context, st *StageState, backend string, observer 
 }
 
 // mcmfDetailed is the independent-set + min-cost-flow reassignment pass of
-// internal/detail, deterministic and bit-identical at every worker count.
+// internal/detail: deterministic and serial, so it ignores
+// StageState.Parallelism.
 type mcmfDetailed struct{}
 
 func (mcmfDetailed) Name() string { return "mcmf" }

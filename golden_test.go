@@ -328,7 +328,7 @@ func TestGoldenCorpusParallel(t *testing.T) {
 
 // TestGoldenCorpusDetailedParallel sweeps the detailed-placement corpus
 // entries across several worker counts (uneven partitions included): the
-// mcmf cost-matrix fill is owner-computes and the swap climb is sequential,
+// placer fans out while the legalizer and both detailed placers run serial,
 // so every count must reproduce the serial fixture exactly.
 func TestGoldenCorpusDetailedParallel(t *testing.T) {
 	if testing.Short() {

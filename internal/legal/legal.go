@@ -19,7 +19,6 @@ import (
 	"qplacer/internal/geom"
 	"qplacer/internal/mcmf"
 	"qplacer/internal/obs"
-	"qplacer/internal/parallel"
 )
 
 // Config tunes the legalizer.
@@ -47,24 +46,10 @@ type Config struct {
 	// placement units. It must be fast and non-blocking.
 	Progress func(step, total int)
 
-	// Workers bounds the worker pool for LegalizeCtx's one independent
-	// scan, the min-cost-flow cost matrix, with results identical to a
-	// serial run at every worker count. The packing passes stay sequential
-	// (each greedy decision depends on everything placed before it), so
-	// RowScanCtx ignores Workers. 0 or 1 runs serial.
-	Workers int
-
-	// Cutoffs overrides the adaptive-granularity threshold below which the
-	// cost-matrix scan runs serial (fan-out dispatch costs more than it
-	// saves on small problems). nil auto-calibrates once per process
-	// (parallel.AutoCutoffs); the zero value always fans out. Gating only
-	// selects between bit-identical implementations, so results never
-	// depend on the cutoffs.
-	Cutoffs *parallel.Cutoffs
-
 	// Span, when non-nil, receives the per-pass timing breakdown:
 	// LegalizeCtx records one child per Algorithm-1 pass, RowScanCtx
-	// records the shelf scan.
+	// records the shelf scan. Both add one note with the run's guard
+	// fallbacks and spot failures.
 	Span *obs.Span
 }
 
@@ -101,28 +86,29 @@ func LegalRect(in *component.Instance) geom.Rect {
 	return in.CoreRect().Inflate(in.Pad / 2)
 }
 
-// legalizer carries run state.
+// legalizer carries run state. Every pass is serial: each greedy
+// decision depends on everything placed before it.
 type legalizer struct {
 	ctx    context.Context
 	cfg    Config
 	nl     *component.Netlist
 	bounds geom.Rect
 
-	placed []geom.Rect // legal rects of already-fixed instances
-	byInst map[int]int // instance ID → index in placed
-	order  []int       // placed index → instance ID
+	// placed[id] is instance id's legal rect once isFixed[id] is set.
+	placed  []geom.Rect
+	isFixed []bool
 
 	// partners[i] lists the near-resonant instances of i, ascending (the
 	// stage collision map); findSpot keeps candidates clear of the placed
 	// ones so legalization preserves the engine's spatial isolation.
 	partners [][]int
 
+	// spiral is findSpotIn's search order, built once per run.
+	spiral []geom.Point
+
 	// Spatial hash over placed rects for O(1) neighbourhood queries.
 	cell    float64
-	buckets map[[2]int][]int // bucket coord → placed indices
-
-	pool *parallel.Pool   // bounds the independent scans; nil runs serial
-	cut  parallel.Cutoffs // adaptive-granularity thresholds for the scans
+	buckets map[[2]int][]int // bucket coord → fixed instance IDs
 
 	stats *Result // live statistics sink
 }
@@ -142,19 +128,6 @@ func guardedApart(a, b geom.Point, guard float64) bool {
 	return math.Max(math.Abs(a.X-b.X), math.Abs(a.Y-b.Y)) >= guard
 }
 
-// resolveCutoffs maps Config.Cutoffs to the thresholds in effect: explicit
-// when set, auto-calibrated otherwise. A serial run skips calibration — with
-// no pool there is nothing to gate.
-func resolveCutoffs(cfg Config, pool *parallel.Pool) parallel.Cutoffs {
-	if cfg.Cutoffs != nil {
-		return *cfg.Cutoffs
-	}
-	if pool == nil {
-		return parallel.Cutoffs{}
-	}
-	return parallel.AutoCutoffs()
-}
-
 func (lg *legalizer) bucketRange(r geom.Rect) (x0, y0, x1, y1 int) {
 	x0 = int(math.Floor(r.Lo.X / lg.cell))
 	y0 = int(math.Floor(r.Lo.Y / lg.cell))
@@ -163,24 +136,24 @@ func (lg *legalizer) bucketRange(r geom.Rect) (x0, y0, x1, y1 int) {
 	return
 }
 
-func (lg *legalizer) indexAdd(placedIdx int, r geom.Rect) {
+func (lg *legalizer) indexAdd(id int, r geom.Rect) {
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			key := [2]int{x, y}
-			lg.buckets[key] = append(lg.buckets[key], placedIdx)
+			lg.buckets[key] = append(lg.buckets[key], id)
 		}
 	}
 }
 
-func (lg *legalizer) indexRemove(placedIdx int, r geom.Rect) {
+func (lg *legalizer) indexRemove(id int, r geom.Rect) {
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			key := [2]int{x, y}
 			list := lg.buckets[key]
 			for k, v := range list {
-				if v == placedIdx {
+				if v == id {
 					list[k] = list[len(list)-1]
 					lg.buckets[key] = list[:len(list)-1]
 					break
@@ -202,6 +175,7 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, c
 	if cfg.Pitch <= 0 || cfg.MaxRings <= 0 {
 		return nil, fmt.Errorf("legal: invalid config %+v", cfg)
 	}
+	n := len(nl.Instances)
 	lg := &legalizer{
 		ctx: ctx,
 		cfg: cfg,
@@ -211,14 +185,13 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, c
 		// tight is what delivers the paper's compact-substrate result. A
 		// small margin absorbs boundary quantization.
 		bounds:   region.Inflate(region.W() * 0.02),
-		byInst:   make(map[int]int),
-		partners: partnerLists(cm, len(nl.Instances)),
+		placed:   make([]geom.Rect, n),
+		isFixed:  make([]bool, n),
+		partners: partnerLists(cm, n),
+		spiral:   geom.SpiralOffsets(cfg.MaxRings),
 		cell:     1.0,
 		buckets:  make(map[[2]int][]int),
-		pool:     parallel.New(cfg.Workers),
 	}
-	defer lg.pool.Close()
-	lg.cut = resolveCutoffs(cfg, lg.pool)
 	res := &Result{}
 	lg.stats = res
 
@@ -250,7 +223,7 @@ func LegalizeCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, c
 			cfg.Progress(i+1, len(passes))
 		}
 	}
-	cfg.Span.SetWorkers(lg.pool.WorkerBusy())
+	noteFallbacks(cfg.Span, res)
 	return res, nil
 }
 
@@ -266,17 +239,19 @@ func overlapsEps(a, b geom.Rect) bool {
 	return a.Inflate(-overlapEps / 2).Overlaps(b.Inflate(-overlapEps / 2))
 }
 
-// overlapsPlaced reports whether r overlaps any fixed legal rect, except the
-// instance ids in skip. Queries go through the spatial hash.
-func (lg *legalizer) overlapsPlaced(r geom.Rect, skip map[int]bool) bool {
+// noteFallbacks records a run's isolation fallbacks on its span.
+func noteFallbacks(span *obs.Span, res *Result) {
+	span.Note(fmt.Sprintf("guard fallbacks: %d, spot failures: %d", res.GuardFallbacks, res.SpotFailures))
+}
+
+// overlapsPlaced reports whether r overlaps any fixed legal rect, except
+// instance skip's own (-1 skips none). Queries go through the spatial hash.
+func (lg *legalizer) overlapsPlaced(r geom.Rect, skip int) bool {
 	x0, y0, x1, y1 := lg.bucketRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			for _, idx := range lg.buckets[[2]int{x, y}] {
-				if skip != nil && skip[lg.order[idx]] {
-					continue
-				}
-				if overlapsEps(r, lg.placed[idx]) {
+			for _, id := range lg.buckets[[2]int{x, y}] {
+				if id != skip && overlapsEps(r, lg.placed[id]) {
 					return true
 				}
 			}
@@ -285,18 +260,13 @@ func (lg *legalizer) overlapsPlaced(r geom.Rect, skip map[int]bool) bool {
 	return false
 }
 
-func (lg *legalizer) fix(instID int, r geom.Rect) {
-	if idx, ok := lg.byInst[instID]; ok {
-		lg.indexRemove(idx, lg.placed[idx])
-		lg.placed[idx] = r
-		lg.indexAdd(idx, r)
-		return
+func (lg *legalizer) fix(id int, r geom.Rect) {
+	if lg.isFixed[id] {
+		lg.indexRemove(id, lg.placed[id])
 	}
-	idx := len(lg.placed)
-	lg.byInst[instID] = idx
-	lg.placed = append(lg.placed, r)
-	lg.order = append(lg.order, instID)
-	lg.indexAdd(idx, r)
+	lg.placed[id] = r
+	lg.isFixed[id] = true
+	lg.indexAdd(id, r)
 }
 
 // guardOK reports whether centre c keeps the isolation distance from the
@@ -311,7 +281,7 @@ func (lg *legalizer) guardOK(in *component.Instance, c geom.Point) bool {
 func (lg *legalizer) isolated(in *component.Instance, c geom.Point) bool {
 	guard := frequency.IsolationGuard(in.Kind)
 	for _, pid := range lg.partners[in.ID] {
-		if _, placed := lg.byInst[pid]; placed && !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
+		if lg.isFixed[pid] && !guardedApart(lg.nl.Instances[pid].Pos, c, guard) {
 			return false
 		}
 	}
@@ -324,7 +294,7 @@ func (lg *legalizer) isolated(in *component.Instance, c geom.Point) bool {
 // search radius, the nearest unguarded spot is used (the residual hotspot
 // shows up in P_h, as in the paper). Returns the centre and true, or the
 // original position and false.
-func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip map[int]bool) (geom.Point, bool) {
+func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip int) (geom.Point, bool) {
 	// Preference order: a guarded (isolation-preserving) spot anywhere —
 	// escalating the bounds outward if needed — beats an unguarded spot
 	// nearby. Only when no guarded spot exists at any escalation level does
@@ -357,10 +327,10 @@ func (lg *legalizer) findSpot(in *component.Instance, want geom.Point, skip map[
 	return want, false
 }
 
-func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip map[int]bool, bounds geom.Rect) (spot geom.Point, ok bool, fallback geom.Point, haveFallback bool) {
+func (lg *legalizer) findSpotIn(in *component.Instance, want geom.Point, skip int, bounds geom.Rect) (spot geom.Point, ok bool, fallback geom.Point, haveFallback bool) {
 	base := LegalRect(in)
 	w, h := base.W(), base.H()
-	for _, off := range geom.SpiralOffsets(lg.cfg.MaxRings) {
+	for _, off := range lg.spiral {
 		c := geom.Point{
 			X: want.X + off.X*lg.cfg.Pitch,
 			Y: want.Y + off.Y*lg.cfg.Pitch,
@@ -405,7 +375,7 @@ func (lg *legalizer) legalizeQubits(res *Result) error {
 			return err
 		}
 		in := lg.nl.Instances[qi]
-		spot, ok := lg.findSpot(in, in.Pos, nil)
+		spot, ok := lg.findSpot(in, in.Pos, -1)
 		if ok {
 			res.QubitDisplacement += spot.Dist(in.Pos)
 			in.Pos = spot
@@ -434,19 +404,13 @@ func (lg *legalizer) refineQubits(res *Result, anchors []geom.Point) error {
 	for i, qi := range qubits {
 		sites[i] = lg.nl.Instances[qi].Pos
 	}
-	// Cost rows are independent of each other — the one parallel scan in
-	// this pass; the flow solve itself is sequential. The matrix is
-	// len(qubits)² entries of pure arithmetic, gated on ScanCells.
 	costs := make([][]float64, len(qubits))
-	pool := parallel.Gate(lg.pool, len(qubits)*len(qubits), lg.cut.ScanCells)
-	pool.For(len(qubits), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			costs[i] = make([]float64, len(sites))
-			for j, s := range sites {
-				costs[i][j] = anchors[i].Dist2(s)
-			}
+	for i := range costs {
+		costs[i] = make([]float64, len(sites))
+		for j, s := range sites {
+			costs[i][j] = anchors[i].Dist2(s)
 		}
-	})
+	}
 	assign, _ := mcmf.Assign(costs)
 	for i, qi := range qubits {
 		in := lg.nl.Instances[qi]
@@ -498,9 +462,9 @@ func (lg *legalizer) legalizeSegments(res *Result) error {
 			// (minimal displacement preserves the engine's isolation); the
 			// predecessor serves as a secondary anchor when the primary
 			// neighbourhood is saturated, keeping the chain contiguous.
-			spot, ok := lg.findSpot(in, in.Pos, nil)
+			spot, ok := lg.findSpot(in, in.Pos, -1)
 			if ok && havePrev && spot.Dist(prev) > 3*in.W {
-				if alt, okAlt := lg.findSpot(in, prev, nil); okAlt {
+				if alt, okAlt := lg.findSpot(in, prev, -1); okAlt {
 					spot = alt
 				}
 			}
@@ -526,37 +490,42 @@ func (lg *legalizer) clusters(resIdx int) [][]int {
 // clusters (edge-to-edge legal-rect gap ≤ gap), largest cluster first. One
 // cluster means the resonator is integrated.
 func ResonatorClusters(nl *component.Netlist, resIdx int, gap float64) [][]int {
+	// Union-find over positions in segs.
 	segs := nl.Resonators[resIdx].Segments
-	parent := make(map[int]int, len(segs))
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+	parent := make([]int, len(segs))
+	rects := make([]geom.Rect, len(segs))
+	for i, s := range segs {
+		parent[i] = i
+		rects[i] = LegalRect(nl.Instances[s])
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		return parent[x]
+		return x
 	}
-	for _, s := range segs {
-		parent[s] = s
-	}
-	for i := 0; i < len(segs); i++ {
-		ri := LegalRect(nl.Instances[segs[i]])
+	for i := range segs {
 		for j := i + 1; j < len(segs); j++ {
-			rj := LegalRect(nl.Instances[segs[j]])
-			if ri.Gap(rj) <= gap {
-				parent[find(segs[i])] = find(segs[j])
+			if rects[i].Gap(rects[j]) <= gap {
+				parent[find(i)] = find(j)
 			}
 		}
 	}
-	groups := map[int][]int{}
-	for _, s := range segs {
-		groups[find(s)] = append(groups[find(s)], s)
+	groups := make([][]int, len(segs))
+	for i, s := range segs {
+		r := find(i)
+		groups[r] = append(groups[r], s)
 	}
-	out := make([][]int, 0, len(groups))
+	var out [][]int
 	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
+		if len(g) > 0 {
+			sort.Ints(g)
+			out = append(out, g)
+		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
+	// Clusters are disjoint, so (size, first ID) orders them totally.
+	sort.Slice(out, func(a, b int) bool {
 		if len(out[a]) != len(out[b]) {
 			return len(out[a]) > len(out[b])
 		}
@@ -618,7 +587,6 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 		return lg.nl.Instances[anchors[a]].Pos.Dist2(in.Pos) <
 			lg.nl.Instances[anchors[b]].Pos.Dist2(in.Pos)
 	})
-	skip := map[int]bool{sid: true}
 	// Free-spot search tightly around each anchor.
 	base := LegalRect(in)
 	step := base.W() + 0.02
@@ -631,7 +599,7 @@ func (lg *legalizer) pullIn(sid int, cluster []int, res *Result) bool {
 		} {
 			c := anchor.Add(off)
 			r := geom.RectAt(c, base.W(), base.H())
-			if lg.bounds.ContainsRect(r) && !lg.overlapsPlaced(r, skip) && lg.guardOK(in, c) {
+			if lg.bounds.ContainsRect(r) && !lg.overlapsPlaced(r, sid) && lg.guardOK(in, c) {
 				res.SegmentDisplacement += c.Dist(in.Pos)
 				in.Pos = c
 				lg.fix(sid, LegalRect(in))
@@ -728,8 +696,7 @@ func (lg *legalizer) compact(res *Result) error {
 				X: centroid.X + (old.X-centroid.X)*0.9,
 				Y: centroid.Y + (old.Y-centroid.Y)*0.9,
 			}
-			skip := map[int]bool{sid: true}
-			spot, ok := lg.findSpot(in, target, skip)
+			spot, ok := lg.findSpot(in, target, sid)
 			if !ok || spot.Dist2(centroid) >= old.Dist2(centroid)-1e-9 {
 				continue
 			}

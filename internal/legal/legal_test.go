@@ -3,6 +3,7 @@ package legal
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"qplacer/internal/component"
@@ -13,7 +14,7 @@ import (
 	"qplacer/internal/topology"
 )
 
-func placedNetlist(t *testing.T, devName string, mode place.Mode) (*component.Netlist, geom.Rect, *frequency.CollisionMap) {
+func placedNetlist(t testing.TB, devName string, mode place.Mode) (*component.Netlist, geom.Rect, *frequency.CollisionMap) {
 	t.Helper()
 	dev, err := topology.ByName(devName)
 	if err != nil {
@@ -138,5 +139,43 @@ func TestOverlapToleranceMatchesVerifier(t *testing.T) {
 	b.Pos.X = LegalRect(a).W()
 	if got := OverlapReport(nl); len(got) != 0 {
 		t.Fatalf("abutting rects: overlaps %v, want none", got)
+	}
+}
+
+// TestLegalizeAllocationBounded guards the legalizer's run state against
+// per-call rebuilds: a spiral or skip set allocated per spot search costs
+// gigabytes on one grid run, the run state itself a few megabytes.
+func TestLegalizeAllocationBounded(t *testing.T) {
+	nl, region, cm := placedNetlist(t, "grid", place.ModeQplacer)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := LegalizeCtx(context.Background(), nl, region, cm, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 100 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("LegalizeCtx allocated %.1f MB on grid, want < %d MB", float64(got)/(1<<20), limit>>20)
+	}
+}
+
+// BenchmarkLegalize times the shelf legalizer alone on globally placed
+// layouts: each device is placed once, and every iteration legalizes a
+// fresh clone.
+func BenchmarkLegalize(b *testing.B) {
+	for _, devName := range []string{"grid", "falcon"} {
+		b.Run(devName, func(b *testing.B) {
+			nl, region, cm := placedNetlist(b, devName, place.ModeQplacer)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				work := nl.Clone()
+				b.StartTimer()
+				if _, err := LegalizeCtx(context.Background(), work, region, cm, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

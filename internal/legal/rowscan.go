@@ -140,5 +140,6 @@ func RowScanCtx(ctx context.Context, nl *component.Netlist, region geom.Rect, cm
 		}
 	}
 	res.IntegratedAll = len(res.BrokenResonators) == 0
+	noteFallbacks(cfg.Span, res)
 	return res, nil
 }

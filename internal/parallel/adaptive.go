@@ -29,9 +29,6 @@ type Cutoffs struct {
 	// PointItems gates the embarrassingly parallel per-instance sweeps
 	// (field sampling, boundary springs, gradient combine).
 	PointItems int
-	// ScanCells gates the all-pairs cost-matrix fills of the legalizer's
-	// and the detailed placer's min-cost-flow passes (items = n² cells).
-	ScanCells int
 }
 
 // Gate selects the pool for one stage invocation: it returns p when the
@@ -55,7 +52,6 @@ var defaultCutoffs = Cutoffs{
 	RasterCells:     4096,
 	SolveCells:      2048,
 	PointItems:      1024,
-	ScanCells:       8192,
 }
 
 var (
@@ -134,7 +130,6 @@ func calibrate() Cutoffs {
 		RasterCells:     cutoff(4),
 		SolveCells:      cutoff(8), // FFT butterflies per cell
 		PointItems:      cutoff(8), // bilinear field sampling
-		ScanCells:       cutoff(4),
 	}
 }
 

@@ -34,7 +34,6 @@ func TestAutoCutoffsDeterministicPerProcess(t *testing.T) {
 		"RasterCells":     a.RasterCells,
 		"SolveCells":      a.SolveCells,
 		"PointItems":      a.PointItems,
-		"ScanCells":       a.ScanCells,
 	} {
 		if c < 64 || c > 1<<20 {
 			t.Errorf("%s = %d outside the clamp range [64, 1<<20]", name, c)
@@ -49,9 +48,5 @@ func TestAutoCutoffsOrdering(t *testing.T) {
 	if c.WirelengthItems > c.RasterCells {
 		t.Errorf("wirelength cutoff %d should not exceed raster cutoff %d",
 			c.WirelengthItems, c.RasterCells)
-	}
-	if c.PairItems > c.ScanCells {
-		t.Errorf("pair cutoff %d should not exceed scan cutoff %d",
-			c.PairItems, c.ScanCells)
 	}
 }

@@ -271,10 +271,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithParallelism bounds the worker pool a single placement's hot path fans
-// out on — the per-iteration gradient components (wirelength, density bins
-// and the spectral Poisson solve, frequency and chain pair repulsion) and
-// the legalizers' independent scans. The default is GOMAXPROCS; 1 restores
-// the serial path; n <= 0 resets to the default. A request above GOMAXPROCS
+// out on — the nesterov placer's per-iteration gradient components
+// (wirelength, density bins and the spectral Poisson solve, frequency and
+// chain pair repulsion). The legalizers and detailed placers run serial.
+// The default is GOMAXPROCS; 1 restores the serial path; n <= 0 resets to
+// the default. A request above GOMAXPROCS
 // is clamped at plan time — oversubscribing the scheduler only adds context
 // switches to a CPU-bound hot path — and the clamp is noted on the plan's
 // root timing span.

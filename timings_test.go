@@ -3,6 +3,7 @@ package qplacer
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -60,6 +61,32 @@ func TestPlanTimingsBreakdown(t *testing.T) {
 	// runs at least once per iteration.
 	if den := tm.Find("place", "density"); den.Count < int64(plan.PlaceIterations) {
 		t.Errorf("density count = %d, want >= %d iterations", den.Count, plan.PlaceIterations)
+	}
+}
+
+// TestLegalizeSpanNotesGuardFallbacks pins the legalizers' fallback ledger:
+// under both built-in legalizers a plan's legalize span carries exactly one
+// guard-fallback note.
+func TestLegalizeSpanNotesGuardFallbacks(t *testing.T) {
+	for _, name := range []string{"shelf", "greedy"} {
+		plan, err := New().Plan(context.Background(), append(timingOptions(), WithLegalizer(name))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leg := plan.Timings.Find("legalize")
+		if leg == nil {
+			t.Fatalf("%s: no legalize span", name)
+		}
+		found := 0
+		for _, note := range leg.Notes {
+			var fallbacks, failures int
+			if _, err := fmt.Sscanf(note, "guard fallbacks: %d, spot failures: %d", &fallbacks, &failures); err == nil {
+				found++
+			}
+		}
+		if found != 1 {
+			t.Errorf("%s: legalize notes %q carry %d guard-fallback notes, want 1", name, leg.Notes, found)
+		}
 	}
 }
 
